@@ -22,10 +22,12 @@ The score is ``support * novelty``; the best unfired candidate wins.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Optional, Set
 
-from repro.core.queries import Query, query_contained_in_page
-from repro.core.selection import QuerySelector, first_unfired
+import numpy as np
+
+from repro.core.queries import Query, containment_arrays
+from repro.core.selection import QuerySelector, best_unfired
 from repro.core.session import HarvestSession
 
 
@@ -35,36 +37,37 @@ class AdaptiveQueryingSelection(QuerySelector):
     name = "AQ"
 
     def select(self, session: HarvestSession) -> Optional[Query]:
-        if not session.current_pages:
+        pages = session.current_pages
+        if not pages:
             return None
         relevant_pages = session.relevant_current_pages()
-        scoring_pages = relevant_pages if relevant_pages else session.current_pages
 
         candidates = session.candidates.sorted_queries()
         if not candidates:
             return None
 
         covered_by_past = self._pages_covered_by_past(session)
-        scores: Dict[Query, float] = {}
-        for query in candidates:
-            containing = [p for p in session.current_pages
-                          if query_contained_in_page(query, p)]
-            support = sum(1 for p in scoring_pages if query_contained_in_page(query, p))
-            if containing:
-                already = sum(1 for p in containing if p.page_id in covered_by_past)
-                novelty = 1.0 - already / len(containing)
-            else:
-                novelty = 1.0
-            scores[query] = support * (0.5 + 0.5 * novelty)
-
-        ranked = sorted(candidates, key=lambda q: (-scores[q], q))
-        return first_unfired(ranked, session)
+        covered = np.array([p.page_id in covered_by_past for p in pages], dtype=bool)
+        page_positions, query_positions = containment_arrays(pages, candidates)
+        containing = np.bincount(query_positions, minlength=len(candidates))
+        already = np.bincount(query_positions[covered[page_positions]],
+                              minlength=len(candidates))
+        if relevant_pages:
+            relevant_ids = {p.page_id for p in relevant_pages}
+            relevant = np.array([p.page_id in relevant_ids for p in pages], dtype=bool)
+            support = np.bincount(query_positions[relevant[page_positions]],
+                                  minlength=len(candidates))
+        else:
+            # No relevant page yet: every current page scores.
+            support = containing
+        novelty = np.ones(len(candidates))
+        found = containing > 0
+        novelty[found] = 1.0 - already[found] / containing[found]
+        scores = support * (0.5 + 0.5 * novelty)
+        return best_unfired(candidates, scores, session)
 
     @staticmethod
     def _pages_covered_by_past(session: HarvestSession) -> Set[str]:
-        covered: Set[str] = set()
-        for query in session.past_queries:
-            for page in session.current_pages:
-                if query_contained_in_page(query, page):
-                    covered.add(page.page_id)
-        return covered
+        pages = session.current_pages
+        page_positions, _ = containment_arrays(pages, session.past_queries)
+        return {pages[position].page_id for position in page_positions.tolist()}

@@ -14,12 +14,14 @@ because HR is the only baseline that exploits domain data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import AbstractSet, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.aspects.relevance import RelevanceFunction
 from repro.core.config import L2QConfig
-from repro.core.queries import Query, QueryEnumerator, prune_queries, query_contained_in_page
-from repro.core.selection import QuerySelector, first_unfired
+from repro.core.queries import Query, QueryEnumerator, containment_arrays, prune_queries
+from repro.core.selection import QuerySelector, best_unfired
 from repro.core.session import HarvestSession
 from repro.core.templates import Template, TemplateIndex
 from repro.corpus.corpus import Corpus
@@ -27,11 +29,19 @@ from repro.corpus.corpus import Corpus
 
 @dataclass
 class HarvestRateStatistics:
-    """Domain-side harvest-rate statistics, computed once per (domain, aspect)."""
+    """Domain-side harvest-rate statistics, computed once per (domain, aspect).
+
+    The statistics are frozen once built: :meth:`domain_scores` and
+    :meth:`domain_queries` memoise what selection derives from them.
+    """
 
     query_harvest_rate: Dict[Query, float] = field(default_factory=dict)
     template_harvest_rate: Dict[Template, float] = field(default_factory=dict)
     query_templates: Dict[Query, tuple] = field(default_factory=dict)
+    _scores: Optional[Dict[Query, Optional[float]]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _queries_without: Dict[AbstractSet[str], Tuple[Query, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_corpus(cls, domain_corpus: Corpus, relevance: RelevanceFunction,
@@ -86,6 +96,26 @@ class HarvestRateStatistics:
             return sum(template_rates) / len(template_rates)
         return direct
 
+    def domain_scores(self) -> Dict[Query, Optional[float]]:
+        """:meth:`domain_score` of every query the statistics know, computed once.
+
+        Every other query scores ``None`` and is absent.
+        """
+        if self._scores is None:
+            known = self.query_harvest_rate.keys() | self.query_templates.keys()
+            self._scores = {query: self.domain_score(query) for query in known}
+        return self._scores
+
+    def domain_queries(self, excluded_words: AbstractSet[str]) -> Tuple[Query, ...]:
+        """Domain queries sharing no word with ``excluded_words``, cached per set."""
+        key = frozenset(excluded_words)
+        queries = self._queries_without.get(key)
+        if queries is None:
+            queries = tuple(query for query in self.query_harvest_rate
+                            if key.isdisjoint(query))
+            self._queries_without[key] = queries
+        return queries
+
 
 class HarvestRateSelection(QuerySelector):
     """Harvest-rate query selection combining domain and current statistics."""
@@ -98,27 +128,31 @@ class HarvestRateSelection(QuerySelector):
     def select(self, session: HarvestSession) -> Optional[Query]:
         if not session.current_pages:
             return None
-        candidates = set(session.candidates.queries())
+        statistics = self.domain_statistics
         # HR also exploits domain data: add domain queries it has statistics for.
-        excluded_words = session.entity.excluded_words()
-        for query in self.domain_statistics.query_harvest_rate:
-            if not any(word in excluded_words for word in query):
-                candidates.add(query)
+        candidates = list(set(session.candidates.queries()).union(
+            statistics.domain_queries(session.entity.excluded_words())))
         if not candidates:
             return None
 
+        pages = session.current_pages
         relevant_ids = {p.page_id for p in session.relevant_current_pages()}
-        scores: Dict[Query, float] = {}
-        for query in candidates:
-            containing = [p for p in session.current_pages
-                          if query_contained_in_page(query, p)]
-            current_rate: Optional[float] = None
-            if containing:
-                current_rate = sum(1 for p in containing
-                                   if p.page_id in relevant_ids) / len(containing)
-            domain_rate = self.domain_statistics.domain_score(query)
-            components = [v for v in (current_rate, domain_rate) if v is not None]
-            scores[query] = sum(components) / len(components) if components else 0.0
-
-        ranked = sorted(candidates, key=lambda q: (-scores[q], q))
-        return first_unfired(ranked, session)
+        relevant = np.array([p.page_id in relevant_ids for p in pages], dtype=bool)
+        page_positions, query_positions = containment_arrays(pages, candidates)
+        containing = np.bincount(query_positions, minlength=len(candidates))
+        relevant_containing = np.bincount(query_positions[relevant[page_positions]],
+                                          minlength=len(candidates))
+        # Each score is the mean of the rates it has, as in the scalar
+        # form ``sum(components) / len(components)``: ``(current + domain)
+        # / 2`` with both, the one rate alone, 0.0 with neither.  ``None``
+        # (no domain statistics) becomes NaN.
+        has_current = containing > 0
+        current = np.divide(relevant_containing, containing,
+                            out=np.zeros(len(candidates)), where=has_current)
+        domain = np.array(list(map(statistics.domain_scores().get, candidates)),
+                          dtype=np.float64)
+        has_domain = ~np.isnan(domain)
+        scores = np.where(has_current,
+                          np.where(has_domain, (current + domain) / 2, current),
+                          np.where(has_domain, domain, 0.0))
+        return best_unfired(candidates, scores, session)

@@ -15,7 +15,11 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
+from scipy import sparse
 
 from repro.corpus.document import Page
 from repro.corpus.tokenizer import DEFAULT_STOPWORDS
@@ -142,6 +146,60 @@ def query_contained_in_page(query: Query, page: Page) -> bool:
     inference is to avoid actually firing candidate queries.
     """
     return page.contains_all(query)
+
+
+def containment_arrays(pages: Sequence[Page],
+                       queries: Sequence[Query]) -> Tuple[np.ndarray, np.ndarray]:
+    """All ``(page_position, query_position)`` pairs where the page contains
+    every word of the query, via one sparse matmul.
+
+    Equivalent to testing :func:`query_contained_in_page` for every pair, but
+    the O(pages × queries) loop collapses into counting, per pair, how many
+    of the query's word occurrences the page contains — ``(pages × words) @
+    (words × queries)`` over incidence matrices — and keeping the pairs
+    whose count equals the query's length (a repeated query word counts
+    once per occurrence on both sides).  An empty query is vacuously
+    contained in every page.  Returns parallel position arrays in no
+    particular order; each pair occurs exactly once.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    if not pages or not queries:
+        return empty, empty
+    words = list(chain.from_iterable(queries))
+    word_ids = dict(zip(dict.fromkeys(words), range(len(words))))
+    vocabulary = frozenset(word_ids)
+    query_words = _incidence(queries, word_ids)
+    counts = _incidence([page.token_set & vocabulary for page in pages],
+                        word_ids) @ query_words.T
+    required = np.diff(query_words.indptr)
+    contained = counts.data == required[counts.indices]
+    pair_pages = np.repeat(np.arange(len(pages), dtype=np.int64),
+                           np.diff(counts.indptr))[contained]
+    pair_queries = counts.indices[contained].astype(np.int64)
+    vacuous = np.flatnonzero(required == 0)
+    if vacuous.size:
+        pair_pages = np.concatenate(
+            [pair_pages, np.tile(np.arange(len(pages), dtype=np.int64),
+                                 vacuous.size)])
+        pair_queries = np.concatenate(
+            [pair_queries, np.repeat(vacuous, len(pages))])
+    return pair_pages, pair_queries
+
+
+def _incidence(rows: Sequence[Iterable[str]],
+               word_ids: Dict[str, int]) -> sparse.csr_matrix:
+    """One CSR row per word collection, a 1.0 per word occurrence.
+
+    Built straight from the collections' lengths and word ids; every
+    per-word loop runs inside C (``map`` / ``chain``).
+    """
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    total = int(lengths.sum())
+    columns = np.fromiter(map(word_ids.__getitem__, chain.from_iterable(rows)),
+                          dtype=np.int64, count=total)
+    return sparse.csr_matrix(
+        (np.ones(total), columns, np.concatenate([[0], np.cumsum(lengths)])),
+        shape=(len(rows), len(word_ids)))
 
 
 def prune_queries(statistics: QueryStatistics, min_page_frequency: int = 1,

@@ -62,6 +62,22 @@ def first_unfired(ranked: Sequence[Query], session: HarvestSession) -> Optional[
     return None
 
 
+def best_unfired(candidates: Sequence[Query], scores: np.ndarray,
+                 session: HarvestSession) -> Optional[Query]:
+    """``first_unfired`` over ``candidates`` ranked by ``(-score, query)``.
+
+    The ranking is a strict total order over distinct candidates, so its
+    first unfired entry is the highest-scoring unfired candidate, ties going
+    to the lexicographically smallest query — found without sorting.
+    """
+    unfired = np.fromiter((not session.is_fired(query) for query in candidates),
+                          dtype=bool, count=len(candidates))
+    if not unfired.any():
+        return None
+    top = scores[unfired].max()
+    return min(candidates[i] for i in np.flatnonzero(unfired & (scores == top)))
+
+
 # ---------------------------------------------------------------------------
 # RND
 # ---------------------------------------------------------------------------

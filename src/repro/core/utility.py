@@ -17,7 +17,7 @@ from scipy import sparse
 
 from repro.aspects.relevance import RelevanceFunction
 from repro.core.config import L2QConfig
-from repro.core.queries import Query
+from repro.core.queries import Query, containment_arrays
 from repro.core.templates import Template, TemplateIndex
 from repro.corpus.document import Page
 from repro.corpus.knowledge_base import TypeSystem
@@ -84,7 +84,7 @@ class GraphAssembler:
         queries_index = VertexIndex()
         query_positions = queries_index.extend(queries)
 
-        page_positions, query_cols = _containment_arrays(pages, queries)
+        page_positions, query_cols = containment_arrays(pages, queries)
         distinct = (len(pages_index) == len(pages)
                     and len(queries_index) == len(queries))
         if edge_weights is None and distinct:
@@ -137,81 +137,6 @@ class GraphAssembler:
             templates=list(graph.templates.keys()),
             template_index=template_index,
         )
-
-
-def _containment_arrays(pages: Sequence[Page],
-                        queries: Sequence[Query]) -> Tuple[np.ndarray, np.ndarray]:
-    """All ``(page_position, query_position)`` pairs where the page contains
-    every word of the query, via one sparse matmul.
-
-    Equivalent to testing
-    :func:`~repro.core.queries.query_contained_in_page` for every pair, but
-    the O(pages × queries) loop collapses into counting, per pair, how many
-    *distinct* query words occur in the page — ``(pages × words) @ (words ×
-    queries)`` over binary incidence matrices — and keeping the pairs whose
-    count equals the query's word count.  Returns parallel position arrays
-    in no particular order; each pair occurs exactly once.
-    """
-    empty = np.zeros(0, dtype=np.int64)
-    if not pages or not queries:
-        return empty, empty
-    word_positions: Dict[str, int] = {}
-    query_rows: List[int] = []
-    query_cols: List[int] = []
-    vacuous: List[int] = []
-    for query_position, query in enumerate(queries):
-        words = set(query)
-        if not words:
-            # An empty query is (vacuously) contained in every page.
-            vacuous.append(query_position)
-            continue
-        for word in words:
-            position = word_positions.setdefault(word, len(word_positions))
-            query_rows.append(query_position)
-            query_cols.append(position)
-
-    page_rows: List[int] = []
-    page_cols: List[int] = []
-    query_word_set = frozenset(word_positions)
-    position_of = word_positions.__getitem__
-    for page_position, page in enumerate(pages):
-        # Set intersection runs in C; incidence order is irrelevant because
-        # the COO->CSR conversion canonicalises (entries are unique).
-        hits = page.token_set & query_word_set
-        if hits:
-            page_cols.extend(map(position_of, hits))
-            page_rows.extend([page_position] * len(hits))
-
-    pair_pages, pair_queries = empty, empty
-    if word_positions:
-        shape_words = len(word_positions)
-        query_words = sparse.csr_matrix(
-            (np.ones(len(query_rows)), (query_rows, query_cols)),
-            shape=(len(queries), shape_words))
-        page_words = sparse.csr_matrix(
-            (np.ones(len(page_rows)), (page_rows, page_cols)),
-            shape=(len(pages), shape_words))
-        counts = (page_words @ query_words.T).tocoo()
-        required = np.bincount(np.asarray(query_rows, dtype=np.int64),
-                               minlength=len(queries))
-        contained = counts.data == required[counts.col]
-        pair_pages = counts.row[contained].astype(np.int64)
-        pair_queries = counts.col[contained].astype(np.int64)
-    if vacuous:
-        every_page = np.arange(len(pages), dtype=np.int64)
-        pair_pages = np.concatenate(
-            [pair_pages] + [every_page for _ in vacuous])
-        pair_queries = np.concatenate(
-            [pair_queries] + [np.full(len(pages), position, dtype=np.int64)
-                              for position in vacuous])
-    return pair_pages, pair_queries
-
-
-def _containment_pairs(pages: Sequence[Page],
-                       queries: Sequence[Query]) -> List[Tuple[int, int]]:
-    """:func:`_containment_arrays` as a page-major-sorted list of pairs."""
-    pair_pages, pair_queries = _containment_arrays(pages, queries)
-    return sorted(zip(pair_pages.tolist(), pair_queries.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,13 @@ from scipy import sparse
 from repro.graph.reinforcement import ReinforcementGraph
 
 try:  # pragma: no cover - exercised implicitly by every solve
-    from scipy.sparse import _sparsetools as _scipy_sparsetools
-    _CSR_MATVECS = _scipy_sparsetools.csr_matvecs
-except (ImportError, AttributeError):  # pragma: no cover - older/newer scipy
-    _CSR_MATVECS = None
+    # The compiled kernel ``csr @ vector`` dispatches to, called directly:
+    # the Python-level dispatch costs more than the arithmetic on the small
+    # matrices of the power iteration.
+    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+except ImportError:  # pragma: no cover - scipy without the private kernel
+    def _csr_matvec(rows, cols, indptr, indices, data, x, out):
+        out += _raw_csr(data, indices, indptr, (rows, cols)) @ x
 
 MODE_PRECISION = "precision"
 MODE_RECALL = "recall"
@@ -59,24 +62,6 @@ class RegularizationProblem:
     page_regularization: Optional[Mapping[Hashable, float]] = None
     query_regularization: Optional[Mapping[Hashable, float]] = None
     template_regularization: Optional[Mapping[Hashable, float]] = None
-
-
-def _matmul_into(matrix: sparse.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out <- matrix @ x`` for a 2-D dense ``x``, reusing ``out``.
-
-    Calls the same compiled ``csr_matvecs`` kernel ``csr @ dense`` dispatches
-    to (bit-identical accumulation in stored-index order), skipping the
-    Python-level dispatch that dominates on the small matrices of the power
-    iteration.  Falls back to the operator when the kernel is unavailable.
-    """
-    if _CSR_MATVECS is None:
-        out[...] = matrix @ x
-        return out
-    out.fill(0.0)
-    rows, cols = matrix.shape
-    _CSR_MATVECS(rows, cols, x.shape[1], matrix.indptr, matrix.indices,
-                 matrix.data, x.ravel(), out.ravel())
-    return out
 
 
 def _raw_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
@@ -117,21 +102,26 @@ def _scale_rows_exact(matrix: sparse.csr_matrix, weights: np.ndarray,
     return _raw_csr(data, scaled.indices, scaled.indptr, scaled.shape)
 
 
-def _vstack_csr(top: sparse.csr_matrix, bottom: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Stack two CSR matrices vertically without canonicalising.
+def _stack_rows(blocks: Sequence[sparse.csr_matrix],
+                column_offsets: Sequence[int], width: int) -> sparse.csr_matrix:
+    """Stack CSR row blocks, shifting each block's column indices.
 
-    ``sparse.vstack`` may re-sort indices within rows; the power iteration
-    needs every row's stored order untouched so that accumulation order (and
-    thus every rounding) matches a matmul against the original matrix.
+    Unlike ``sparse.vstack`` (which may re-sort indices within rows) every
+    row keeps its stored order, so a matvec accumulates each element in
+    exactly the order a matmul against the original block would.
     """
-    top = top.tocsr()
-    bottom = bottom.tocsr()
-    indptr = np.concatenate([top.indptr,
-                             top.indptr[-1] + bottom.indptr[1:]])
-    indices = np.concatenate([top.indices, bottom.indices])
-    data = np.concatenate([top.data, bottom.data])
-    return _raw_csr(data, indices, indptr,
-                    (top.shape[0] + bottom.shape[0], top.shape[1]))
+    indptr = [np.zeros(1, dtype=np.int64)]
+    nnz = 0
+    for block in blocks:
+        indptr.append(block.indptr[1:] + nnz)
+        nnz += int(block.indptr[-1])
+    indices = np.concatenate(
+        [block.indices + offset for block, offset in zip(blocks, column_offsets)],
+        dtype=np.int64)
+    data = np.concatenate([block.data for block in blocks], dtype=np.float64)
+    rows = sum(block.shape[0] for block in blocks)
+    return _raw_csr(data, indices, np.concatenate(indptr, dtype=np.int64),
+                    (rows, width))
 
 
 def _raw_diagonal(scale: np.ndarray, container) -> sparse.spmatrix:
@@ -233,37 +223,33 @@ class UtilitySolver:
         pq = graph.page_query
         qt = graph.query_template
         # Row-stochastic over a page's query neighbours / a query's template neighbours.
-        self._pq_row = normalize_rows(pq)
-        self._qt_row = normalize_rows(qt)
+        pq_row = normalize_rows(pq)
+        qt_row = normalize_rows(qt)
         # Column-stochastic over a query's page neighbours / a template's query neighbours.
-        self._pq_col = normalize_columns(pq)
-        self._qt_col = normalize_columns(qt)
-        # Which queries have neighbours on each side (for averaging the two sides).
-        self._query_has_pages = np.asarray(pq.sum(axis=0)).ravel() > 0
-        self._query_has_templates = np.asarray(qt.sum(axis=1)).ravel() > 0
-        # Per-mode iteration operators with the two-sided average folded in.
+        pq_col = normalize_columns(pq)
+        qt_col = normalize_columns(qt)
         # A query connected on both sides averages them — equivalently, both
         # incoming operators carry weight 0.5 on that query's row.  0.5 is a
         # power of two, so the folded matmul is bit-identical to averaging
         # afterwards; one-sided queries keep weight 1.0, and their missing
-        # side contributes an exact +0.0.  The page and template updates both
-        # multiply the query vector, so their operators stack into one matrix
-        # (rows are unchanged, hence every dot product is unchanged).
-        # Transposes are materialised as CSR: a transposed-CSR matvec is
-        # bit-identical to the CSC-view matvec it replaces, and ``.T`` inside
-        # the loop would allocate a view per matmul per iteration.
-        both = self._query_has_pages & self._query_has_templates
-        weight = np.where(both, 0.5, 1.0)
+        # side contributes an exact +0.0.  Transposes are materialised as
+        # CSR: a transposed-CSR matvec is bit-identical to the CSC-view
+        # matvec it replaces.
+        has_pages = np.asarray(pq.sum(axis=0)).ravel() > 0
+        has_templates = np.asarray(qt.sum(axis=1)).ravel() > 0
+        weight = np.where(has_pages & has_templates, 0.5, 1.0)
+        # Each mode's three update operators, with the page and template
+        # rows (both multiply the query vector) stacked into one.
         self._operators = {
             MODE_PRECISION: (
-                _scale_rows_exact(self._pq_col.T.tocsr(), weight, copy=False),
-                _scale_rows_exact(self._qt_row, weight),
-                _vstack_csr(self._pq_row, self._qt_col.T.tocsr()),
+                _stack_rows([pq_row, qt_col.T.tocsr()], [0, 0], pq.shape[1]),
+                _scale_rows_exact(pq_col.T.tocsr(), weight, copy=False),
+                _scale_rows_exact(qt_row, weight),
             ),
             MODE_RECALL: (
-                _scale_rows_exact(self._pq_row.T.tocsr(), weight, copy=False),
-                _scale_rows_exact(self._qt_col, weight),
-                _vstack_csr(self._pq_col, self._qt_row.T.tocsr()),
+                _stack_rows([pq_col, qt_row.T.tocsr()], [0, 0], pq.shape[1]),
+                _scale_rows_exact(pq_row.T.tocsr(), weight, copy=False),
+                _scale_rows_exact(qt_col, weight),
             ),
         }
 
@@ -290,21 +276,14 @@ class UtilitySolver:
 
     def solve_many(self, mode: str,
                    problems: Sequence[RegularizationProblem]) -> List[UtilityVector]:
-        """Solve several regularization problems on this graph at once.
+        """Solve several regularization problems of one mode on this graph.
 
-        The problems share every sparse matmul: their ``U_hat`` vectors are
-        stacked as the columns of one right-hand-side matrix and the power
-        iteration advances all columns together.  A column whose own delta
-        drops below the tolerance is *frozen* (copied forward unchanged)
-        while the others continue, so each returned
-        :class:`UtilityVector` — values, ``iterations`` and ``converged``
-        — is bit-identical to a separate :meth:`solve` of that problem.
+        Shorthand for :meth:`solve_joint` with the other mode empty; each
+        returned :class:`UtilityVector` is bit-identical to a separate
+        :meth:`solve` of that problem.
         """
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        if not problems:
-            return []
-
         if mode == MODE_PRECISION:
             return self.solve_joint(problems, [])[0]
         return self.solve_joint([], problems)[1]
@@ -312,28 +291,131 @@ class UtilitySolver:
     def solve_joint(self, precision_problems: Sequence[RegularizationProblem],
                     recall_problems: Sequence[RegularizationProblem]
                     ) -> Tuple[List[UtilityVector], List[UtilityVector]]:
-        """Solve precision and recall problems in one shared iteration loop.
+        """Solve precision and recall problems in one fused power iteration.
 
-        The two modes iterate independent state over different operators, so
-        their per-column results are bit-identical to separate
-        :meth:`solve_many` calls — but one Python loop drives both, halving
-        the per-iteration interpreter overhead that dominates on the small
-        graphs of the selection hot path.  A mode whose columns have all
-        converged stops doing any work while the other finishes.
+        Every problem is one column ``j`` of a block-diagonal system whose
+        state is ``[pt_0 .. pt_{k-1}; q_0 .. q_{k-1}]``: ``pt_j`` holds
+        column ``j``'s pages then templates, ``q_j`` its queries.  One
+        operator holds every column's mode operators, each reading and
+        writing only its own column's segments, so a single sparse matvec
+        per iteration advances every problem of both modes.  Its rows are
+        the new ``pt`` segments (from the queries), the new ``q`` segments
+        from the pages, and then the queries' template-side sums, which are
+        added to the page-side sums afterwards — exactly as two per-side
+        matmuls would be.  Every row keeps its stored order, so every
+        element accumulates exactly as a separate per-mode matmul would.
+
+        A column whose own delta (the max over its two segments — max is
+        exact in any order) drops below the tolerance is frozen: a mask
+        copies its converged values forward while the others continue.  So
+        each returned :class:`UtilityVector` — values, ``iterations`` and
+        ``converged`` — is bit-identical to a separate :meth:`solve` of
+        that problem.
         """
-        states = [_ModeIteration(self, mode, problems)
-                  for mode, problems in ((MODE_PRECISION, precision_problems),
-                                         (MODE_RECALL, recall_problems))
-                  if problems]
+        problems = list(precision_problems) + list(recall_problems)
+        modes = ([MODE_PRECISION] * len(precision_problems)
+                 + [MODE_RECALL] * len(recall_problems))
+        k = len(problems)
+        if not k:
+            return [], []
+        graph = self.graph
+        num_pages = graph.num_pages
+        pt_width = num_pages + graph.num_templates
+        num_queries = graph.num_queries
+        queries_start = k * pt_width
+        size = queries_start + k * num_queries
+
+        pt_offsets = [j * pt_width for j in range(k)]
+        query_offsets = [queries_start + j * num_queries for j in range(k)]
+        operators = [self._operators[mode] for mode in modes]
+        operator = _stack_rows(
+            [pt_from_queries for pt_from_queries, _, _ in operators]
+            + [from_pages for _, from_pages, _ in operators]
+            + [from_templates for _, _, from_templates in operators],
+            query_offsets + pt_offsets
+            + [offset + num_pages for offset in pt_offsets], size)
+        rows = operator.shape[0]
+        indptr, indices, data = operator.indptr, operator.indices, operator.data
+
+        hat = np.zeros(size)
+        for pt_offset, query_offset, problem in zip(pt_offsets, query_offsets,
+                                                    problems):
+            _fill(hat[pt_offset:pt_offset + num_pages], graph.pages,
+                  problem.page_regularization)
+            _fill(hat[pt_offset + num_pages:pt_offset + pt_width],
+                  graph.templates, problem.template_regularization)
+            _fill(hat[query_offset:query_offset + num_queries], graph.queries,
+                  problem.query_regularization)
+        # ``alpha * U_hat`` is the same product every iteration.
+        alpha_hat = self.alpha * hat
+        one_minus_alpha = 1.0 - self.alpha
+
+        def bundle(buffer: np.ndarray):
+            # (buffer, new state, its query segments, their template sides)
+            return (buffer, buffer[:size], buffer[queries_start:size],
+                    buffer[size:])
+
+        state = bundle(np.empty(rows))
+        spare = bundle(np.empty(rows))
+        state[1][:] = hat
+        scratch = np.empty(size)
+        pt_deltas = scratch[:queries_start].reshape(k, pt_width)
+        query_deltas = scratch[queries_start:].reshape(k, num_queries)
+        frozen = np.zeros(size, dtype=bool)
+        frozen_pt = frozen[:queries_start].reshape(k, pt_width)
+        frozen_queries = frozen[queries_start:].reshape(k, num_queries)
+        any_frozen = False
+        tolerance = self.tolerance
+        active = list(range(k))
+        iterations = [self.max_iterations] * k
+        converged = [False] * k
+
         for iteration in range(1, self.max_iterations + 1):
-            any_active = False
-            for state in states:
-                if state.step(iteration):
-                    any_active = True
-            if not any_active:
+            current = state[1]
+            buffer, new, new_queries, template_sides = spare
+            buffer.fill(0.0)
+            _csr_matvec(rows, size, indptr, indices, data, current, buffer)
+            np.add(new_queries, template_sides, out=new_queries)
+            np.multiply(new, one_minus_alpha, out=new)
+            np.add(new, alpha_hat, out=new)
+            if any_frozen:
+                # Frozen columns keep exactly the values they converged
+                # at — a separate solve would have stopped there.
+                np.copyto(new, current, where=frozen)
+            np.subtract(new, current, out=scratch)
+            np.abs(scratch, out=scratch)
+            deltas = np.maximum(
+                np.maximum.reduce(pt_deltas, axis=1, initial=0.0),
+                np.maximum.reduce(query_deltas, axis=1, initial=0.0)).tolist()
+            state, spare = spare, state
+
+            still_active: List[int] = []
+            for column in active:
+                if deltas[column] < tolerance:
+                    iterations[column] = iteration
+                    converged[column] = True
+                    frozen_pt[column] = True
+                    frozen_queries[column] = True
+                    any_frozen = True
+                else:
+                    still_active.append(column)
+            active = still_active
+            if not active:
                 break
-        by_mode = {state.mode: state.results() for state in states}
-        return (by_mode.get(MODE_PRECISION, []), by_mode.get(MODE_RECALL, []))
+
+        pt = state[1][:queries_start].reshape(k, pt_width)
+        queries = state[1][queries_start:].reshape(k, num_queries)
+        vectors = [UtilityVector(
+            mode=modes[j],
+            page_values=pt[j, :num_pages].copy(),
+            query_values=queries[j].copy(),
+            template_values=pt[j, num_pages:].copy(),
+            graph=graph,
+            iterations=iterations[j],
+            converged=converged[j],
+        ) for j in range(k)]
+        split = len(precision_problems)
+        return vectors[:split], vectors[split:]
 
     def solve_precision(self, **kwargs) -> UtilityVector:
         """Shorthand for ``solve(MODE_PRECISION, ...)``."""
@@ -348,210 +430,12 @@ class UtilitySolver:
         """Shorthand for ``solve_many(MODE_RECALL, ...)``."""
         return self.solve_many(MODE_RECALL, problems)
 
-    # -- Internals -------------------------------------------------------------
-    def _combine_sides(self, from_pages: np.ndarray, from_templates: np.ndarray) -> np.ndarray:
-        """Average the page-side and template-side estimates per query.
 
-        The paper combines the two sides "by taking their average as the
-        final utility of q" (Sect. IV-A).  Queries connected to only one side
-        use that side alone.  Accepts one estimate per query (1-D) or one
-        column per regularization problem (2-D, the multi-RHS solve).
-        """
-        combined = np.zeros_like(from_pages)
-        if self.graph.num_queries == 0:
-            return combined
-        both = self._query_has_pages & self._query_has_templates
-        only_pages = self._query_has_pages & ~self._query_has_templates
-        only_templates = ~self._query_has_pages & self._query_has_templates
-        combined[both] = 0.5 * (from_pages[both] + from_templates[both])
-        combined[only_pages] = from_pages[only_pages]
-        combined[only_templates] = from_templates[only_templates]
-        return combined
-
-    @staticmethod
-    def _vector(index, regularization: Optional[Mapping[Hashable, float]]) -> np.ndarray:
-        values = np.zeros(len(index))
-        if regularization:
-            for key, value in regularization.items():
-                position = index.index_of(key)
-                if position is not None:
-                    values[position] = float(value)
-        return values
-
-
-class _ModeIteration:
-    """Multi-RHS power-iteration state for one mode of a joint solve.
-
-    Pages and templates both update from the query vector alone, so they
-    live stacked in one array driven by one stacked operator; the query
-    update sums the two pre-scaled side operators.  All buffers are
-    preallocated and ping-ponged between iterations.
-
-    The per-iteration loop is deliberately overhead-lean: the sparse
-    kernels are called with pre-extracted index arrays and pre-raveled
-    buffer views (ping-ponged as whole bundles), and the per-column
-    convergence bookkeeping runs on plain Python ints and lists — with at
-    most a handful of problems, ``ndarray.any``-style reductions on
-    length-5 boolean arrays cost more than the arithmetic they guard.
-    """
-
-    __slots__ = ("solver", "mode", "num_problems", "num_pages", "tolerance",
-                 "alpha_pt_hat", "alpha_query_hat", "one_minus_alpha",
-                 "query_from_pages", "query_from_templates", "pt_from_queries",
-                 "op_query_from_pages", "op_query_from_templates",
-                 "op_pt_from_queries", "pt_bundle", "new_pt_bundle",
-                 "queries_bundle", "new_queries_bundle", "side_buffer",
-                 "side_flat", "scratch", "active_columns", "frozen_columns",
-                 "converged", "iterations", "last_iteration")
-
-    @staticmethod
-    def _pt_bundle_of(array: np.ndarray, num_pages: int):
-        """A pages+templates buffer with its raveled kernel views.
-
-        The page rows and template rows are contiguous leading/trailing
-        blocks of the stacked array, so all three raveled views alias the
-        buffer — swapping the bundle swaps the views consistently.
-        """
-        return (array, array[:num_pages].ravel(), array[num_pages:].ravel(),
-                array.ravel())
-
-    @staticmethod
-    def _operator_args(matrix: sparse.csr_matrix):
-        """The ``csr_matvecs`` argument prefix of one operator matrix."""
-        rows, cols = matrix.shape
-        return (rows, cols, matrix.indptr, matrix.indices, matrix.data)
-
-    def __init__(self, solver: "UtilitySolver", mode: str,
-                 problems: Sequence[RegularizationProblem]) -> None:
-        self.solver = solver
-        self.mode = mode
-        self.num_problems = len(problems)
-        graph = solver.graph
-        self.num_pages = graph.num_pages
-        self.tolerance = solver.tolerance
-        page_hat = np.stack(
-            [solver._vector(graph.pages, p.page_regularization)
-             for p in problems], axis=1)
-        query_hat = np.stack(
-            [solver._vector(graph.queries, p.query_regularization)
-             for p in problems], axis=1)
-        template_hat = np.stack(
-            [solver._vector(graph.templates, p.template_regularization)
-             for p in problems], axis=1)
-        pt_hat = np.concatenate([page_hat, template_hat], axis=0)
-        # ``alpha * U_hat`` is the same product every iteration.
-        self.alpha_pt_hat = solver.alpha * pt_hat
-        self.alpha_query_hat = solver.alpha * query_hat
-        self.one_minus_alpha = 1.0 - solver.alpha
-        (self.query_from_pages, self.query_from_templates,
-         self.pt_from_queries) = solver._operators[mode]
-        self.op_query_from_pages = self._operator_args(self.query_from_pages)
-        self.op_query_from_templates = self._operator_args(self.query_from_templates)
-        self.op_pt_from_queries = self._operator_args(self.pt_from_queries)
-        self.pt_bundle = self._pt_bundle_of(pt_hat.copy(), self.num_pages)
-        self.new_pt_bundle = self._pt_bundle_of(np.empty_like(pt_hat),
-                                                self.num_pages)
-        queries = query_hat.copy()
-        self.queries_bundle = (queries, queries.ravel())
-        new_queries = np.empty_like(queries)
-        self.new_queries_bundle = (new_queries, new_queries.ravel())
-        self.side_buffer = np.empty_like(queries)
-        self.side_flat = self.side_buffer.ravel()
-        # One scratch spanning [pages; templates; queries]: the convergence
-        # delta is a max over every vertex, so the three layers' residuals
-        # reduce in a single pass.
-        self.scratch = np.empty((pt_hat.shape[0] + queries.shape[0],
-                                 self.num_problems))
-        self.active_columns: List[int] = list(range(self.num_problems))
-        self.frozen_columns: List[int] = []
-        self.converged = [False] * self.num_problems
-        self.iterations = [0] * self.num_problems
-        self.last_iteration = 0
-
-    def step(self, iteration: int) -> bool:
-        """Advance one iteration; no-op (False) once every column converged."""
-        active = self.active_columns
-        if not active:
-            return False
-        self.last_iteration = iteration
-        pt, pt_pages_flat, pt_templates_flat, _ = self.pt_bundle
-        queries, queries_flat = self.queries_bundle
-        new_pt, _, _, new_pt_flat = self.new_pt_bundle
-        new_queries, new_queries_flat = self.new_queries_bundle
-
-        # new_q = W_qp @ pages + W_qt @ templates (two-sided average folded
-        # into the operators); new_[p;t] = W_ptq @ queries.
-        if _CSR_MATVECS is not None:
-            k = self.num_problems
-            new_queries_flat.fill(0.0)
-            rows, cols, indptr, indices, data = self.op_query_from_pages
-            _CSR_MATVECS(rows, cols, k, indptr, indices, data,
-                         pt_pages_flat, new_queries_flat)
-            self.side_flat.fill(0.0)
-            rows, cols, indptr, indices, data = self.op_query_from_templates
-            _CSR_MATVECS(rows, cols, k, indptr, indices, data,
-                         pt_templates_flat, self.side_flat)
-            new_pt_flat.fill(0.0)
-            rows, cols, indptr, indices, data = self.op_pt_from_queries
-            _CSR_MATVECS(rows, cols, k, indptr, indices, data,
-                         queries_flat, new_pt_flat)
-        else:  # pragma: no cover - scipy without the private kernel
-            num_pages = self.num_pages
-            _matmul_into(self.query_from_pages, pt[:num_pages], new_queries)
-            _matmul_into(self.query_from_templates, pt[num_pages:],
-                         self.side_buffer)
-            _matmul_into(self.pt_from_queries, queries, new_pt)
-        np.add(new_queries, self.side_buffer, out=new_queries)
-
-        np.multiply(new_pt, self.one_minus_alpha, out=new_pt)
-        np.add(new_pt, self.alpha_pt_hat, out=new_pt)
-        np.multiply(new_queries, self.one_minus_alpha, out=new_queries)
-        np.add(new_queries, self.alpha_query_hat, out=new_queries)
-
-        frozen = self.frozen_columns
-        if frozen:
-            # Frozen columns keep exactly the values they converged at —
-            # a separate solve would have broken out of the loop there.
-            new_pt[:, frozen] = pt[:, frozen]
-            new_queries[:, frozen] = queries[:, frozen]
-
-        scratch = self.scratch
-        if scratch.shape[0]:
-            boundary = pt.shape[0]
-            np.subtract(new_pt, pt, out=scratch[:boundary])
-            np.subtract(new_queries, queries, out=scratch[boundary:])
-            np.abs(scratch, out=scratch)
-            deltas = np.maximum.reduce(scratch, axis=0).tolist()
-        else:
-            deltas = [0.0] * self.num_problems
-
-        self.pt_bundle, self.new_pt_bundle = self.new_pt_bundle, self.pt_bundle
-        self.queries_bundle, self.new_queries_bundle = \
-            self.new_queries_bundle, self.queries_bundle
-        tolerance = self.tolerance
-        still_active: List[int] = []
-        for column in active:
-            if deltas[column] < tolerance:
-                self.iterations[column] = iteration
-                self.converged[column] = True
-                frozen.append(column)
-            else:
-                still_active.append(column)
-        self.active_columns = still_active
-        return bool(still_active)
-
-    def results(self) -> List[UtilityVector]:
-        for column in self.active_columns:
-            self.iterations[column] = self.last_iteration
-        num_pages = self.num_pages
-        pt = self.pt_bundle[0]
-        queries = self.queries_bundle[0]
-        return [UtilityVector(
-            mode=self.mode,
-            page_values=pt[:num_pages, j].copy(),
-            query_values=queries[:, j].copy(),
-            template_values=pt[num_pages:, j].copy(),
-            graph=self.solver.graph,
-            iterations=int(self.iterations[j]),
-            converged=bool(self.converged[j]),
-        ) for j in range(self.num_problems)]
+def _fill(values: np.ndarray, index,
+          regularization: Optional[Mapping[Hashable, float]]) -> None:
+    """Write one vertex layer's ``U_hat`` into ``values`` (zeros elsewhere)."""
+    if regularization:
+        for key, value in regularization.items():
+            position = index.index_of(key)
+            if position is not None:
+                values[position] = float(value)

@@ -8,6 +8,8 @@ selector's batched ``_choose`` vs ``_choose_scalar``.  These tests pin that
 contract over seeded random corpora, graphs and regularizations — including
 the edge cases (empty/singleton candidate sets, unseen query terms,
 incremental index updates) where a vectorized path most easily drifts.
+The fused joint solve is also pinned against the per-mode power iteration
+it replaced (:mod:`tests.oracles.solver`).
 """
 
 import random
@@ -28,6 +30,9 @@ from repro.graph.reinforcement import ReinforcementGraphBuilder
 from repro.search.bm25 import BM25Ranker
 from repro.search.index import InvertedIndex
 from repro.search.language_model import DirichletLanguageModel
+
+from tests.helpers import random_problem, random_sided_graph
+from tests.oracles import solver as solver_oracle
 
 VOCABULARY = [f"w{i}" for i in range(30)]
 
@@ -141,18 +146,25 @@ def _random_graph(rng: random.Random):
     return builder.build()
 
 
-def _random_problem(rng: random.Random, graph) -> RegularizationProblem:
-    def layer(index, probability):
-        if rng.random() > probability:
-            return None
-        return {key: rng.random() for key in index.keys()
-                if rng.random() < 0.7}
+ORACLE_SEEDS = 40
 
-    return RegularizationProblem(
-        page_regularization=layer(graph.pages, 0.9),
-        query_regularization=layer(graph.queries, 0.3),
-        template_regularization=layer(graph.templates, 0.5),
-    )
+
+def _oracle_case(seed: int):
+    """A solver and its precision / recall problems for one oracle seed.
+
+    Graphs without templates every fourth seed; zero problems (``U_hat =
+    0``, converged at iteration 1) next to random ones, so columns freeze at
+    different iterations; caps of 2 and 5 iterations that most columns hit.
+    """
+    rng = random.Random(1000 + seed)
+    graph = random_sided_graph(rng, with_templates=seed % 4 != 0)
+    solver = UtilitySolver(graph, alpha=rng.choice([0.15, 0.5]),
+                           max_iterations=rng.choice([2, 5, 100]))
+
+    def problems(count):
+        return [RegularizationProblem() if rng.random() < 0.2
+                else random_problem(rng, graph) for _ in range(count)]
+    return solver, problems(rng.randint(0, 3)), problems(rng.randint(0, 5))
 
 
 def _vectors_identical(left, right) -> bool:
@@ -169,9 +181,9 @@ class TestSolverEquivalence:
         rng = random.Random(seed)
         graph = _random_graph(rng)
         solver = UtilitySolver(graph)
-        precision_problems = [_random_problem(rng, graph)
+        precision_problems = [random_problem(rng, graph)
                               for _ in range(rng.randint(0, 2))]
-        recall_problems = [_random_problem(rng, graph)
+        recall_problems = [random_problem(rng, graph)
                            for _ in range(rng.randint(1, 4))]
         joint_p, joint_r = solver.solve_joint(precision_problems,
                                               recall_problems)
@@ -187,13 +199,52 @@ class TestSolverEquivalence:
                     template_regularization=problem.template_regularization)
                 assert _vectors_identical(vector, single), (seed, mode)
 
+    @pytest.mark.parametrize("seed", range(ORACLE_SEEDS))
+    def test_fused_solve_matches_per_mode_oracle_bitwise(self, seed):
+        solver, precision_problems, recall_problems = _oracle_case(seed)
+        fused = solver.solve_joint(precision_problems, recall_problems)
+        reference = solver_oracle.solve_joint(solver, precision_problems,
+                                              recall_problems)
+        for mode_fused, mode_reference in zip(fused, reference):
+            assert len(mode_fused) == len(mode_reference)
+            for vector, expected in zip(mode_fused, mode_reference):
+                assert vector.mode == expected.mode
+                assert _vectors_identical(vector, expected), seed
+
+    def test_oracle_cases_cover_the_edge_cases(self):
+        seen = set()
+        for seed in range(ORACLE_SEEDS):
+            solver, precision_problems, recall_problems = _oracle_case(seed)
+            graph = solver.graph
+            if graph.num_templates == 0:
+                seen.add("no templates")
+            has_pages = np.asarray(graph.page_query.sum(axis=0)).ravel() > 0
+            has_templates = np.asarray(
+                graph.query_template.sum(axis=1)).ravel() > 0
+            if np.any(has_pages != has_templates):
+                seen.add("one-sided queries")
+            seen.add(("precision", len(precision_problems)))
+            seen.add(("recall", len(recall_problems)))
+            precision, recall = solver.solve_joint(precision_problems,
+                                                   recall_problems)
+            vectors = precision + recall
+            if len({v.iterations for v in vectors if v.converged}) > 1:
+                seen.add("columns converge at different iterations")
+            if any(not v.converged for v in vectors):
+                seen.add("iteration cap hit")
+        assert {"no templates", "one-sided queries",
+                "columns converge at different iterations",
+                "iteration cap hit"} <= seen
+        assert {("precision", n) for n in range(4)} <= seen
+        assert {("recall", n) for n in range(6)} <= seen
+
     @pytest.mark.parametrize("seed", range(4))
     def test_duplicated_problems_converge_identically(self, seed):
         # Column freezing must not couple columns: solving [a, a] gives two
         # bit-identical results.
         rng = random.Random(50 + seed)
         graph = _random_graph(rng)
-        problem = _random_problem(rng, graph)
+        problem = random_problem(rng, graph)
         first, second = UtilitySolver(graph).solve_many(
             MODE_RECALL, [problem, problem])
         assert _vectors_identical(first, second)
